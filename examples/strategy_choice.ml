@@ -22,7 +22,7 @@ let () =
       (Splan.sample (Sampler.Bernoulli 0.5) (Splan.scan "orders"))
       ~on:("l_orderkey", "o_orderkey")
   in
-  let report, analysis = Sbox.run ~seed:17 db pilot ~f in
+  let report, analysis = Sbox.stream ~seed:17 db pilot ~f in
   Printf.printf "pilot sample: %d result tuples; estimate %.4g (sd %.3g)\n\n"
     report.Sbox.n_tuples report.Sbox.estimate report.Sbox.stddev;
   ignore analysis;

@@ -591,6 +591,14 @@ let run ?(config = default_config) ?(engine = `Symbolic) ~card plan =
   in
   { diagnostics; analysis }
 
+(* [Lazy.force] is not domain-safe: a second domain forcing a suspension
+   another one is still evaluating raises [CamlinternalLazy.Undefined].
+   Scheduler lanes execute one shared prepared handle concurrently, so
+   every force takes the lock ([Lazy.is_val] is already true while a
+   force is in flight, so it cannot gate a lock-free fast path). *)
+let gus_lock = Mutex.create ()
+let force_gus gus = Mutex.protect gus_lock (fun () -> Lazy.force gus)
+
 let run_db ?config ?engine db plan =
   run ?config ?engine plan
     ~card:(fun r ->

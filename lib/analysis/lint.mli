@@ -47,9 +47,10 @@ type analysis = {
       (** single equivalent GUS over the skeleton's lineage, in symbolic
           sum-of-products form *)
   gus : Gus_core.Gus.t Lazy.t;
-      (** dense materialization of [sym]; forcing raises
-          {!Gus_core.Gus.Incompatible} past the dense width wall
-          ({!Gus_util.Subset.max_universe} relations) *)
+      (** dense materialization of [sym], built on first use; force it
+          with {!force_gus}.  Forcing raises {!Gus_core.Gus.Incompatible}
+          past the dense width wall ({!Gus_util.Subset.max_universe}
+          relations) *)
   steps : (string * Gus_core.Symalg.t) list;
       (** derivation trace, leaves first — the Figure-4 walk-through *)
   facts : Dataflow.table;
@@ -88,6 +89,11 @@ val run_db :
   Gus_relational.Database.t ->
   Gus_core.Splan.t ->
   report
+
+val force_gus : Gus_core.Gus.t Lazy.t -> Gus_core.Gus.t
+(** [Lazy.force] for {!analysis.gus}, safe to call from several domains
+    at once (forces are serialized on one lock).  Executors running one
+    prepared handle on several pool lanes must force through this. *)
 
 val errors : report -> Diagnostic.t list
 val warnings : report -> Diagnostic.t list

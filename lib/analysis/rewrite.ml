@@ -21,7 +21,7 @@ type result = {
   steps : (string * Symalg.t) list;
 }
 
-let dense r = Lazy.force r.gus
+let dense r = Lint.force_gus r.gus
 
 let sampler_gus ~card ~over ~input sampler =
   let diags = ref [] in

@@ -140,13 +140,9 @@ let of_plan ?pool ?(skip_mask = 0) ?view ?lineage_width ~gus ~f db rng plan =
     (acc, eval)
   in
   let acc, _ =
-    match pool with
-    | Some _ ->
-        Splan.fold_stream_par ?pool db rng plan ~init ~f:feed
-          ~merge:(fun (a, e) (b, _) ->
-            Moments.Acc.merge a b;
-            (a, e))
-    | None -> Splan.fold_stream db rng plan ~init ~f:feed
+    Splan.fold ?pool db rng plan ~init ~f:feed ~merge:(fun (a, e) (b, _) ->
+        Moments.Acc.merge a b;
+        (a, e))
   in
   Gus_obs.Trace.span "sbox.report_of_acc"
     ~args:(fun () ->
@@ -250,15 +246,6 @@ let stream ?(seed = 42) ?pool db plan ~f =
               n k k Subset.max_universe))
   in
   (report, analysis)
-
-(* [run] used to materialize the result relation, turn it into a pairs
-   array and hand that to the batch kernel; for an estimation-only query
-   all of that is scaffolding, so it now folds the same tuples (same seed,
-   same draws — [fold_stream] is RNG-faithful) straight into an
-   accumulator.  [estimate]/[total_f]/[n_tuples] are bit-identical to the
-   materializing path; the moment sums may differ in final bits because
-   group-reduction order changed. *)
-let run ?seed db plan ~f = stream ?seed db plan ~f
 
 let covariance ~gus ~f ~g rel =
   check_schema gus rel;

@@ -52,8 +52,8 @@ val of_plan :
   Gus_core.Splan.t ->
   report
 (** Streaming twin of [exec] + {!of_relation}: the plan's result tuples
-    are folded straight into a {!Moments.Acc} via
-    {!Gus_core.Splan.fold_stream} — no result relation, no pairs array.
+    are folded straight into a {!Moments.Acc} via {!Gus_core.Splan.fold}
+    — no result relation, no pairs array.
     Same seed ⇒ same tuples and bit-identical [estimate]/[total_f]/
     [n_tuples] as the materializing path (moment sums can differ in final
     bits from reduction order).  With [?pool], chunk-parallel feeding
@@ -110,17 +110,6 @@ val stream :
     dead relations' Theorem-1 coefficients are structural zeros.  Raises
     {!Gus_analysis.Rewrite.Unsupported} only when the {e live} set alone
     exceeds the dense width. *)
-
-val run :
-  ?seed:int ->
-  Gus_relational.Database.t ->
-  Gus_core.Splan.t ->
-  f:Gus_relational.Expr.t ->
-  report * Gus_analysis.Rewrite.result
-(** Convenience: execute the plan with a seeded RNG, rewrite it, analyze
-    the result.  Since the streaming rewrite this is {!stream} without a
-    pool: same seed ⇒ same sample tuples as the old materializing
-    implementation, bit-identical estimate. *)
 
 val exact : Gus_relational.Database.t -> Gus_core.Splan.t -> f:Gus_relational.Expr.t -> float
 (** Ground truth: run the sample-free skeleton and sum [f]. *)

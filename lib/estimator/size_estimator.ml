@@ -13,7 +13,7 @@ type prediction = {
 let one = Expr.float 1.0
 
 let predict ?(seed = 11) ?(coverage = 0.95) db plan =
-  let report, _ = Sbox.run ~seed db plan ~f:one in
+  let report, _ = Sbox.stream ~seed db plan ~f:one in
   { estimate = report.Sbox.estimate;
     stddev = report.Sbox.stddev;
     interval = Sbox.interval ~coverage Interval.Normal report;

@@ -92,48 +92,16 @@ let children = function
   | Equi_join { left; right; _ } -> [ left; right ]
   | Theta_join (_, l, r) | Cross (l, r) | Union_samples (l, r) -> [ l; r ]
 
-let rec exec_node ?pool db rng = function
-  | Scan name -> Database.find db name
-  | Select (pred, q) -> Ops.select ?pool pred (exec ?pool db rng q)
-  | Project (fields, q) -> Ops.project ?pool fields (exec ?pool db rng q)
-  | Equi_join { left; right; left_key; right_key } ->
-      Ops.equi_join ~left_key ~right_key
-        (exec ?pool db rng left)
-        (exec ?pool db rng right)
-  | Theta_join (pred, l, r) ->
-      Ops.theta_join pred (exec ?pool db rng l) (exec ?pool db rng r)
-  | Cross (l, r) -> Ops.cross (exec ?pool db rng l) (exec ?pool db rng r)
-  | Distinct q -> Ops.distinct (exec ?pool db rng q)
-  | Sample (s, q) -> Sampler.apply ?pool s rng (exec ?pool db rng q)
-  | Union_samples (l, r) ->
-      Ops.union_lineage (exec ?pool db rng l) (exec ?pool db rng r)
+(* ------------------------------------------------------------------ *)
+(* Execution: the one recursive walker.
 
-and exec ?pool db rng plan =
-  (* One span per plan node when tracing; the traced branch evaluates the
-     identical expression, so the RNG sees the same draw order and a
-     traced run is bit-identical to an untraced one. *)
-  if Gus_obs.Trace.enabled () then begin
-    let label = node_label plan in
-    Gus_obs.Trace.enter label;
-    match exec_node ?pool db rng plan with
-    | rel ->
-        Gus_obs.Trace.leave label
-          ~args:
-            [ ("rows_out", string_of_int (Relation.cardinality rel)) ];
-        rel
-    | exception e ->
-        Gus_obs.Trace.leave label;
-        raise e
-  end
-  else exec_node ?pool db rng plan
-
-(* Per-node execution profile for EXPLAIN ANALYZE.  Unlike trace spans
-   this is an explicit mode, not flag-guarded: callers ask for profiles
-   and pay for the clock reads.  The recursion mirrors [exec_node]'s
-   {e runtime} evaluation order — OCaml applications evaluate arguments
-   right to left, so binary operators here run the right child before the
-   left — which keeps the RNG draw sequence, and therefore the sample,
-   identical to a plain [exec] with the same seed (test-enforced). *)
+   Binary nodes run their right child before their left.  The order is
+   fixed so that a seed always draws the same sample (the journal replay
+   and the pinned fixtures depend on it).  Trace spans and EXPLAIN
+   profiles both hang off this recursion and neither consumes
+   randomness, so a traced or profiled run is bit-identical to a plain
+   one (test-enforced).  Profiling is an explicit mode, not flag-guarded:
+   callers that pass [?profile] pay for the clock reads. *)
 
 type node_profile = {
   np_path : int list;
@@ -143,85 +111,84 @@ type node_profile = {
   np_rows_out : int;
 }
 
-let exec_profiled ?pool db rng plan =
-  let profiles = ref [] in
+let exec ?pool ?profile db rng plan =
   let card = Relation.cardinality in
   let rec go path plan =
-    let t0 = Gus_obs.Trace.now_ns () in
-    let rel, rows_in =
-      match plan with
-      | Scan name ->
-          let r = Database.find db name in
-          (r, card r)
-      | Select (pred, q) ->
-          let c = go (0 :: path) q in
-          (Ops.select ?pool pred c, card c)
-      | Project (fields, q) ->
-          let c = go (0 :: path) q in
-          (Ops.project ?pool fields c, card c)
-      | Equi_join { left; right; left_key; right_key } ->
-          let r = go (1 :: path) right in
-          let l = go (0 :: path) left in
-          (Ops.equi_join ~left_key ~right_key l r, card l + card r)
-      | Theta_join (pred, lq, rq) ->
-          let r = go (1 :: path) rq in
-          let l = go (0 :: path) lq in
-          (Ops.theta_join pred l r, card l + card r)
-      | Cross (lq, rq) ->
-          let r = go (1 :: path) rq in
-          let l = go (0 :: path) lq in
-          (Ops.cross l r, card l + card r)
-      | Distinct q ->
-          let c = go (0 :: path) q in
-          (Ops.distinct c, card c)
-      | Sample (s, q) ->
-          let c = go (0 :: path) q in
-          (Sampler.apply ?pool s rng c, card c)
-      | Union_samples (lq, rq) ->
-          let r = go (1 :: path) rq in
-          let l = go (0 :: path) lq in
-          (Ops.union_lineage l r, card l + card r)
+    let traced = Gus_obs.Trace.enabled () in
+    let label =
+      if traced || Option.is_some profile then node_label plan else ""
     in
-    profiles :=
-      { np_path = List.rev path;
-        np_label = node_label plan;
-        np_wall_ns = Gus_obs.Trace.now_ns () - t0;
-        np_rows_in = rows_in;
-        np_rows_out = card rel }
-      :: !profiles;
-    rel
+    if traced then Gus_obs.Trace.enter label;
+    let t0 = if Option.is_some profile then Gus_obs.Trace.now_ns () else 0 in
+    match node path plan with
+    | rel, rows_in ->
+        if traced then
+          Gus_obs.Trace.leave label
+            ~args:[ ("rows_out", string_of_int (card rel)) ];
+        Option.iter
+          (fun hook ->
+            hook
+              { np_path = List.rev path;
+                np_label = label;
+                np_wall_ns = Gus_obs.Trace.now_ns () - t0;
+                np_rows_in = rows_in;
+                np_rows_out = card rel })
+          profile;
+        rel
+    | exception e ->
+        if traced then Gus_obs.Trace.leave label;
+        raise e
+  (* The node's output and the sum of its input cardinalities. *)
+  and node path = function
+    | Scan name ->
+        let r = Database.find db name in
+        (r, card r)
+    | Select (pred, q) -> unary path q (Ops.select ?pool pred)
+    | Project (fields, q) -> unary path q (Ops.project ?pool fields)
+    | Distinct q -> unary path q Ops.distinct
+    | Sample (s, q) -> unary path q (Sampler.apply ?pool s rng)
+    | Equi_join { left; right; left_key; right_key } ->
+        binary path left right (Ops.equi_join ~left_key ~right_key)
+    | Theta_join (pred, l, r) -> binary path l r (Ops.theta_join pred)
+    | Cross (l, r) -> binary path l r Ops.cross
+    | Union_samples (l, r) -> binary path l r Ops.union_lineage
+  and unary path q op =
+    let c = go (0 :: path) q in
+    (op c, card c)
+  and binary path lq rq op =
+    let r = go (1 :: path) rq in
+    let l = go (0 :: path) lq in
+    (op l r, card l + card r)
   in
-  let rel = go [] plan in
-  (rel, List.rev !profiles)
+  go [] plan
 
 let exec_exact db q =
   (* No sampling remains, so the RNG is never consulted. *)
   exec db (Gus_util.Rng.create 0) (strip_samples q)
 
 (* ------------------------------------------------------------------ *)
-(* Streaming execution.
+(* Streaming: the one suffix fold.
 
    A plan splits into a blocking [core] (joins, Distinct, the
    cardinality-dependent samplers) that must materialize, and a
    {e streamable suffix} of per-tuple stages above it — Select, Project,
-   Bernoulli, Hash_bernoulli — through which the core's tuples can be
-   pushed one at a time without ever materializing the result relation.
+   Bernoulli, Hash_bernoulli — through which the core's tuples are pushed
+   one at a time without ever materializing the result relation.
 
    The split is RNG-faithful: it keeps at most ONE RNG-consuming sampler
    in the suffix.  [exec] runs each operator as a full-relation pass
    (bottom-up), so a single suffix Bernoulli draws once per tuple
    {e reaching it}, in input order; the streaming interleaving performs
    exactly the same draws in the same order (the other suffix stages
-   consume no randomness), hence [fold_stream] visits precisely the
-   tuples [exec] would output.  A second RNG-consuming sampler would
-   interleave two draw sequences that [exec] performs pass-by-pass, so
-   the split stops there and leaves it to the core. *)
+   consume no randomness), hence [fold] visits precisely the tuples
+   [exec] would output.  A second RNG-consuming sampler would interleave
+   two draw sequences that [exec] performs pass-by-pass, so the split
+   stops there and leaves it to the core. *)
 
-type stream_stage =
+type stage =
   | St_select of Expr.t
   | St_project of (string * Expr.t) list
-  | St_bernoulli of float
-  | St_hash of { seed : int; p : float }
+  | St_sample of Sampler.t  (** [Bernoulli] or [Hash_bernoulli] only *)
 
 (* Returns the blocking core and the suffix stages bottom-up (head is
    the stage nearest the core). *)
@@ -229,171 +196,160 @@ let split_stream plan =
   let rec go acc nrng = function
     | Select (e, q) -> go (St_select e :: acc) nrng q
     | Project (fs, q) -> go (St_project fs :: acc) nrng q
-    | Sample (Sampler.Bernoulli p, q) when nrng = 0 ->
-        Sampler.validate (Sampler.Bernoulli p);
-        go (St_bernoulli p :: acc) 1 q
-    | Sample (Sampler.Hash_bernoulli { seed; p }, q)
+    | Sample ((Sampler.Bernoulli _ as s), q) when nrng = 0 ->
+        Sampler.validate s;
+        go (St_sample s :: acc) 1 q
+    | Sample ((Sampler.Hash_bernoulli _ as s), q)
       when Array.length (lineage_schema q) = 1 ->
-        Sampler.validate (Sampler.Hash_bernoulli { seed; p });
-        go (St_hash { seed; p } :: acc) nrng q
+        Sampler.validate s;
+        go (St_sample s :: acc) nrng q
     | core -> (core, acc)
   in
   go [] 0 plan
 
-(* Compile the bottom-up stages against the core's output schema into
-   per-lane push chains.  [make ()] returns [(push_into sink, out_schema)]
-   where [push_into sink] is a [Tuple.t -> unit] feeding survivors to
-   [sink]; each call builds fresh closures so every pool lane can carry
-   its own chain. *)
-let compile_stages rng stages core_schema =
-  let out_schema =
-    List.fold_left
-      (fun sc -> function
-        | St_project fs -> Ops.project_schema fs sc
-        | St_select _ | St_bernoulli _ | St_hash _ -> sc)
-      core_schema stages
-  in
-  let make sink =
-    (* Fold bottom-up, composing outward: the innermost closure is the
-       sink, each stage wraps what is above it. *)
-    let rec build sc = function
-      | [] -> sink
-      | St_select e :: rest ->
-          let keep = Expr.bind_predicate sc e in
-          let next = build sc rest in
-          fun tup -> if keep tup then next tup
-      | St_project fields :: rest ->
-          let evals = List.map (fun (_, e) -> Expr.bind sc e) fields in
-          let next = build (Ops.project_schema fields sc) rest in
-          fun tup ->
-            let values = Array.of_list (List.map (fun f -> f tup) evals) in
-            next (Tuple.with_values tup values)
-      | St_bernoulli p :: rest ->
-          let next = build sc rest in
-          fun tup -> if Gus_util.Rng.bernoulli rng p then next tup
-      | St_hash { seed; p } :: rest ->
-          let next = build sc rest in
-          fun tup ->
-            if Gus_util.Hashing.prf_float ~seed tup.Tuple.lineage.(0) < p then
-              next tup
-    in
-    build core_schema stages
-  in
-  (make, out_schema)
-
-(* Columnar streaming prefix.  When the core materialized as columns,
-   the leading suffix stages that are expressible as pure-ish per-index
-   filters — a Vexpr-compilable Select, the single Bernoulli, a
-   Hash_bernoulli — run directly over the columns; a [Tuple.t] is built
-   only for rows that survive them.  Draw order is untouched: filters
-   compose in stage order with short-circuit (a tuple the row path drops
-   at a Select never reaches the Bernoulli, so the index path must not
-   draw for it either), and the Bernoulli filter consumes the same [rng]
-   the compiled stage would.  Returns the filters (stage order) and the
-   remaining stages for {!compile_stages}; the remaining stages see the
-   unchanged core schema because filter stages never reshape tuples. *)
-let split_index_filters rng (c : Relation.cols) core_schema stages =
-  let ccols = c.Relation.ccols in
-  let rec go acc = function
-    | St_select e :: rest as all -> (
-        match Vexpr.predicate core_schema ccols e with
-        | Some keep -> go (keep :: acc) rest
-        | None -> (List.rev acc, all))
-    | St_bernoulli p :: rest ->
-        go ((fun _ -> Gus_util.Rng.bernoulli rng p) :: acc) rest
-    | St_hash { seed; p } :: rest ->
-        go
-          ((fun i ->
-             Gus_util.Hashing.prf_float ~seed (Relation.lineage_id c ~slot:0 i) < p)
-          :: acc)
-          rest
-    | (St_project _ :: _ | []) as all -> (List.rev acc, all)
-  in
-  go [] stages
+(* A suffix sampler's keep decision for one row, given that row's first
+   lineage id: [Hash_bernoulli] keys on it, [Bernoulli] draws. *)
+let keep_test rng lineage0 = function
+  | Sampler.Bernoulli p -> fun _ -> Gus_util.Rng.bernoulli rng p
+  | Sampler.Hash_bernoulli { seed; p } ->
+      fun x -> Gus_util.Hashing.prf_float ~seed (lineage0 x) < p
+  | Sampler.(Wor _ | Wr _ | Block _) ->
+      invalid_arg "Splan: blocking sampler in a stream suffix"
 
 let rec passes fs i =
   match fs with [] -> true | f :: tl -> f i && passes tl i
 
+(* Compile one lane of the suffix over the core relation [rel].  Returns
+   [feed lo hi], pushing core rows [lo, hi) through the stages into
+   [sink], and [flush ()], adding the lane's sampler row counts to the
+   [sampler.*] metrics — once, not per tuple.  The counters are
+   lane-local refs, wired in only while metrics are on.
+
+   On a columnar core the leading stages expressible as per-index
+   filters — a Vexpr-compilable Select, a sampler — run directly over
+   the columns, and a [Tuple.t] is built only for rows that survive
+   them.  Draw order is untouched: filters compose in stage order with
+   short-circuit (a tuple the row path drops at a Select never reaches
+   the Bernoulli, so the index path must not draw for it either), and
+   filter stages never reshape tuples, so the remaining stages see the
+   core schema. *)
+let compile_lane rng rel stages sink =
+  let tallies = ref [] in
+  let counted s keep =
+    if not (Gus_obs.Metrics.enabled ()) then keep
+    else begin
+      let rows_in = ref 0 and rows_out = ref 0 in
+      tallies := (s, rows_in, rows_out) :: !tallies;
+      fun x ->
+        incr rows_in;
+        let k = keep x in
+        if k then incr rows_out;
+        k
+    end
+  in
+  let schema = rel.Relation.schema in
+  let filters, rest =
+    match Relation.store rel with
+    | Relation.Rows _ -> ([], stages)
+    | Relation.Cols c ->
+        let rec go acc = function
+          | St_select e :: rest as all -> (
+              match Vexpr.predicate schema c.Relation.ccols e with
+              | Some keep -> go (keep :: acc) rest
+              | None -> (List.rev acc, all))
+          | St_sample s :: rest ->
+              let id i = Relation.lineage_id c ~slot:0 i in
+              go (counted s (keep_test rng id s) :: acc) rest
+          | (St_project _ :: _ | []) as all -> (List.rev acc, all)
+        in
+        go [] stages
+  in
+  (* Fold bottom-up, composing outward: the innermost closure is the
+     sink, each stage wraps what is above it. *)
+  let rec build sc = function
+    | [] -> sink
+    | St_select e :: rest ->
+        let keep = Expr.bind_predicate sc e in
+        let next = build sc rest in
+        fun tup -> if keep tup then next tup
+    | St_project fields :: rest ->
+        let evals = List.map (fun (_, e) -> Expr.bind sc e) fields in
+        let next = build (Ops.project_schema fields sc) rest in
+        fun tup ->
+          let values = Array.of_list (List.map (fun f -> f tup) evals) in
+          next (Tuple.with_values tup values)
+    | St_sample s :: rest ->
+        let id tup = tup.Tuple.lineage.(0) in
+        let keep = counted s (keep_test rng id s) in
+        let next = build sc rest in
+        fun tup -> if keep tup then next tup
+  in
+  let push = build schema rest in
+  let feed lo hi =
+    for i = lo to hi - 1 do
+      if passes filters i then push (Relation.tuple rel i)
+    done
+  in
+  let flush () =
+    List.iter
+      (fun (s, rows_in, rows_out) ->
+        Sampler.account s ~rows_in:!rows_in ~rows_out:!rows_out)
+      !tallies
+  in
+  (feed, flush)
+
 let m_stream_rows = Gus_obs.Metrics.counter "splan.stream.rows"
 let m_stream_folds = Gus_obs.Metrics.counter "splan.stream.folds"
 
-let account_stream rel =
+let fold ?pool db rng plan ~init ~f ~merge =
+  let core, stages = split_stream plan in
+  let rel = exec ?pool db rng core in
+  let n = Relation.cardinality rel in
   (* O(1): the streamed-tuple count is the core's cardinality, not a
      per-push increment — nothing rides the per-tuple path. *)
   if Gus_obs.Metrics.enabled () then begin
     Gus_obs.Metrics.incr m_stream_folds;
-    Gus_obs.Metrics.add m_stream_rows (Relation.cardinality rel)
-  end
-
-let fold_stream db rng plan ~init ~f =
-  let core, stages = split_stream plan in
-  let rel = exec db rng core in
-  account_stream rel;
-  match Relation.store rel with
-  | Relation.Cols c ->
-      let filters, rest = split_index_filters rng c rel.Relation.schema stages in
-      let make, out_schema = compile_stages rng rest rel.Relation.schema in
-      let acc = ref (init out_schema) in
-      let push = make (fun tup -> acc := f !acc tup) in
-      Gus_obs.Trace.span "splan.stream" (fun () ->
-          for i = 0 to c.Relation.cn - 1 do
-            if passes filters i then push (Relation.tuple rel i)
-          done);
-      !acc
-  | Relation.Rows _ ->
-      let make, out_schema = compile_stages rng stages rel.Relation.schema in
-      let acc = ref (init out_schema) in
-      let push = make (fun tup -> acc := f !acc tup) in
-      Gus_obs.Trace.span "splan.stream" (fun () -> Relation.iter push rel);
-      !acc
-
-let stages_use_rng stages =
-  List.exists (function St_bernoulli _ -> true | _ -> false) stages
-
-let fold_stream_par ?pool db rng plan ~init ~f ~merge =
-  let core, stages = split_stream plan in
-  let rel = exec ?pool db rng core in
-  account_stream rel;
-  let make, out_schema = compile_stages rng stages rel.Relation.schema in
-  let n = Relation.cardinality rel in
+    Gus_obs.Metrics.add m_stream_rows n
+  end;
+  let out_schema =
+    List.fold_left
+      (fun sc -> function
+        | St_project fs -> Ops.project_schema fs sc
+        | St_select _ | St_sample _ -> sc)
+      rel.Relation.schema stages
+  in
+  (* One lane: a fresh accumulator fed core rows [lo, hi). *)
+  let lane (lo, hi) =
+    let acc = ref (init out_schema) in
+    let feed, flush = compile_lane rng rel stages (fun tup -> acc := f !acc tup) in
+    feed lo hi;
+    (!acc, flush)
+  in
   let module Pool = Gus_util.Pool in
-  match pool with
-  | Some p
-    when Pool.is_live p && Pool.size p > 1
-         && n >= Pool.default_par_threshold
-         && not (stages_use_rng stages) ->
-      (* RNG-free suffix: each lane streams one contiguous chunk of the
-         core into its own accumulator; partials merge in chunk order.
-         On a columnar core the RNG-free index filters (Select, Hash)
-         are shared across lanes — they are pure — and tuples are
-         materialized only for surviving rows. *)
-      let filters, rest =
-        match Relation.store rel with
-        | Relation.Cols c -> split_index_filters rng c rel.Relation.schema stages
-        | Relation.Rows _ -> ([], stages)
-      in
-      let make = if rest == stages then make else fst (compile_stages rng rest rel.Relation.schema) in
-      let chs = Pool.chunks p ~lo:0 ~hi:n in
-      let accs = Array.map (fun _ -> init out_schema) chs in
-      Pool.run_chunks p ~lo:0 ~hi:(Array.length chs) (fun klo khi ->
-          for k = klo to khi - 1 do
-            let clo, chi = chs.(k) in
-            let lane_acc = ref accs.(k) in
-            let push = make (fun tup -> lane_acc := f !lane_acc tup) in
-            for i = clo to chi - 1 do
-              if passes filters i then push (Relation.tuple rel i)
-            done;
-            accs.(k) <- !lane_acc
-          done);
-      Array.fold_left
-        (fun acc part -> merge acc part)
-        accs.(0)
-        (Array.sub accs 1 (Array.length accs - 1))
-  | _ ->
-      let acc = ref (init out_schema) in
-      let push = make (fun tup -> acc := f !acc tup) in
-      Relation.iter push rel;
-      !acc
+  let uses_rng = function St_sample s -> Sampler.uses_rng s | _ -> false in
+  let parts =
+    Gus_obs.Trace.span "splan.stream" @@ fun () ->
+    match pool with
+    | Some p
+      when Pool.is_live p && Pool.size p > 1
+           && n >= Pool.default_par_threshold
+           && not (List.exists uses_rng stages) ->
+        (* RNG-free suffix: each lane streams one contiguous chunk into
+           its own accumulator; partials merge in chunk order. *)
+        let chs = Pool.chunks p ~lo:0 ~hi:n in
+        let parts = Array.make (Array.length chs) None in
+        Pool.run_chunks p ~lo:0 ~hi:(Array.length chs) (fun klo khi ->
+            for k = klo to khi - 1 do
+              parts.(k) <- Some (lane chs.(k))
+            done);
+        Array.map Option.get parts
+    | _ -> [| lane (0, n) |]
+  in
+  Array.iter (fun (_, flush) -> flush ()) parts;
+  Array.fold_left
+    (fun acc (part, _) -> merge acc part)
+    (fst parts.(0))
+    (Array.sub parts 1 (Array.length parts - 1))
 
 let rec pp ppf = function
   | Scan name -> Format.pp_print_string ppf name

@@ -56,8 +56,30 @@ val node_label : t -> string
     plan, and [--explain-analyze] (e.g. ["join l_okey = o_okey"],
     ["Bernoulli(0.1)"]). *)
 
-val exec : ?pool:Gus_util.Pool.t -> Database.t -> Gus_util.Rng.t -> t -> Relation.t
-(** Run the plan, sampling with the given RNG.
+type node_profile = {
+  np_path : int list;  (** root-to-node child indices, [[]] at the root *)
+  np_label : string;  (** {!node_label} of the node *)
+  np_wall_ns : int;  (** wall time, inclusive of children *)
+  np_rows_in : int;  (** sum of input cardinalities (base size for Scan) *)
+  np_rows_out : int;
+}
+
+val exec :
+  ?pool:Gus_util.Pool.t ->
+  ?profile:(node_profile -> unit) ->
+  Database.t ->
+  Gus_util.Rng.t ->
+  t ->
+  Relation.t
+(** Run the plan, sampling with the given RNG.  Binary nodes run their
+    right child before their left; the draw order is fixed, so a seed
+    always yields the same sample.
+
+    [?profile] is called once per plan node, in post-order, as the node
+    completes — the source of [--explain-analyze]'s per-node wall times
+    and row counts.  It never touches the RNG: a profiled run is
+    bit-identical to a plain one.  Trace spans (one per node while
+    {!Gus_obs.Trace} is enabled) come from the same recursion.
 
     [?pool] fans the per-tuple operators (Select, Project, Bernoulli /
     hash-Bernoulli sampling) across a domain pool for inputs of at least
@@ -71,43 +93,7 @@ val exec : ?pool:Gus_util.Pool.t -> Database.t -> Gus_util.Rng.t -> t -> Relatio
 val exec_exact : Database.t -> t -> Relation.t
 (** Run {!strip_samples} — the full, non-approximate answer. *)
 
-type node_profile = {
-  np_path : int list;  (** root-to-node child indices, [[]] at the root *)
-  np_label : string;  (** {!node_label} of the node *)
-  np_wall_ns : int;  (** wall time, inclusive of children *)
-  np_rows_in : int;  (** sum of input cardinalities (base size for Scan) *)
-  np_rows_out : int;
-}
-
-val exec_profiled :
-  ?pool:Gus_util.Pool.t ->
-  Database.t ->
-  Gus_util.Rng.t ->
-  t ->
-  Relation.t * node_profile list
-(** {!exec} recording one {!node_profile} per plan node, for
-    [--explain-analyze].  Draw order matches {!exec} exactly, so the same
-    seed yields the same sample; profiles are returned in post-order. *)
-
-val fold_stream :
-  Database.t ->
-  Gus_util.Rng.t ->
-  t ->
-  init:(Schema.t -> 'acc) ->
-  f:('acc -> Tuple.t -> 'acc) ->
-  'acc
-(** Stream the plan's result tuples through [f] without materializing the
-    result relation.  The plan is split into a blocking core (executed
-    with {!exec}) and a streamable suffix of per-tuple stages — Select,
-    Project, at most one [Bernoulli], any hash-Bernoulli — through which
-    core tuples are pushed one at a time.  [init] receives the result
-    schema (bind aggregate expressions there) before the first tuple.
-
-    RNG-faithful: the same seed visits exactly the tuples, in exactly the
-    order, that [exec] would have produced — the one permitted suffix
-    Bernoulli performs the same draws in the same sequence. *)
-
-val fold_stream_par :
+val fold :
   ?pool:Gus_util.Pool.t ->
   Database.t ->
   Gus_util.Rng.t ->
@@ -116,13 +102,26 @@ val fold_stream_par :
   f:('acc -> Tuple.t -> 'acc) ->
   merge:('acc -> 'acc -> 'acc) ->
   'acc
-(** {!fold_stream} with chunk-parallel feeding: when the suffix consumes
-    no RNG (pure Select/Project/hash-Bernoulli) and the core output is
+(** Stream the plan's result tuples through [f] without materializing the
+    result relation.  The plan is split into a blocking core (run with
+    {!exec}) and a streamable suffix of per-tuple stages — Select,
+    Project, at most one [Bernoulli], any hash-Bernoulli — through which
+    core tuples are pushed one at a time; on a columnar core the leading
+    filter stages run over column indices and only surviving rows become
+    tuples.  [init] receives the result schema (bind aggregate
+    expressions there) before the first tuple.  Suffix samplers report
+    their row counts to the [sampler.*] metrics once per fold.
+
+    RNG-faithful: the same seed visits exactly the tuples, in exactly the
+    order, that [exec] would have produced — the one permitted suffix
+    Bernoulli performs the same draws in the same sequence.
+
+    With [?pool], when the suffix consumes no RNG and the core output is
     large enough, each pool lane streams one contiguous chunk into its
     own [init]-fresh accumulator and the partials are [merge]d left to
-    right in chunk order.  Falls back to the sequential fold otherwise.
-    Note [?pool] also reaches the core {!exec}, with the pooled-Bernoulli
-    caveat documented there. *)
+    right in chunk order; otherwise [merge] is never called.  [?pool]
+    also reaches the core {!exec}, with the pooled-Bernoulli caveat
+    documented there. *)
 
 val pp : Format.formatter -> t -> unit
 (** One-line rendering. *)

@@ -247,21 +247,24 @@ let m_rows_in = Gus_obs.Metrics.counter "sampler.rows_in"
 let m_rows_out = Gus_obs.Metrics.counter "sampler.rows_out"
 let m_draws = Gus_obs.Metrics.counter "sampler.bernoulli.draws"
 
-let apply ?pool ?par_threshold t rng rel =
-  let out = apply_inner ?pool ?par_threshold t rng rel in
+let account t ~rows_in ~rows_out =
   (* Draw counts are derived arithmetically (never by counting inside the
      sampling loops), so instrumentation cannot perturb the RNG stream. *)
   if Gus_obs.Metrics.enabled () then begin
-    Gus_obs.Metrics.add m_rows_in (Relation.cardinality rel);
-    Gus_obs.Metrics.add m_rows_out (Relation.cardinality out);
+    Gus_obs.Metrics.add m_rows_in rows_in;
+    Gus_obs.Metrics.add m_rows_out rows_out;
     match t with
-    | Bernoulli _ -> Gus_obs.Metrics.add m_draws (Relation.cardinality rel)
+    | Bernoulli _ -> Gus_obs.Metrics.add m_draws rows_in
     | Block { rows_per_block; p = _ } ->
-        let card = Relation.cardinality rel in
         Gus_obs.Metrics.add m_draws
-          ((card + rows_per_block - 1) / rows_per_block)
+          ((rows_in + rows_per_block - 1) / rows_per_block)
     | Wor _ | Wr _ | Hash_bernoulli _ -> ()
-  end;
+  end
+
+let apply ?pool ?par_threshold t rng rel =
+  let out = apply_inner ?pool ?par_threshold t rng rel in
+  account t ~rows_in:(Relation.cardinality rel)
+    ~rows_out:(Relation.cardinality out);
   out
 
 let sampling_fraction t ~n =

@@ -59,6 +59,13 @@ val apply :
     path; callers with pinned sequential fixtures must not pass [?pool].
     [Wor]/[Wr]/[Block] always run sequentially. *)
 
+val account : t -> rows_in:int -> rows_out:int -> unit
+(** Add one application's row counts to the [sampler.rows_in] /
+    [sampler.rows_out] metrics, plus the [sampler.bernoulli.draws] they
+    imply.  {!apply} calls it; streaming executors that run a sampler
+    tuple by tuple call it once per pass with their own counts.  A no-op
+    while metrics are disabled. *)
+
 val uses_rng : t -> bool
 (** Whether {!apply} consumes RNG state ([Hash_bernoulli] does not). *)
 

@@ -157,12 +157,6 @@ let execute catalog t (ov : overrides) =
         pr_lint = Gus_analysis.Lint.run_db ?config:t.p_lint_config db plan }
     end
   in
-  let params =
-    { Runner.default_params with
-      seed = ov.seed;
-      explain = ov.explain;
-      exact = ov.exact;
-      streaming = true }
-  in
+  let params = { Runner.seed = ov.seed; explain = ov.explain; exact = ov.exact } in
   Gus_obs.Metrics.incr m_executes;
   Runner.execute db handle params

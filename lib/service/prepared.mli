@@ -8,11 +8,10 @@
     against the new snapshot first (counted in
     [service.repreparations]).
 
-    Execution goes through the typed {!Gus_sql.Runner.execute} with
-    [streaming = true]: single-aggregate, non-GROUP-BY queries fold
-    straight into the SBox via [Splan.fold_stream] (PR 3) without
-    materializing the sample — bit-identical estimates and tuple counts
-    to the materializing path, no pool is threaded into execution, so
+    Execution goes through the typed {!Gus_sql.Runner.execute}, the same
+    code path as a one-shot [gusdb query]: single-aggregate, non-GROUP-BY
+    queries fold straight into the SBox via [Splan.fold] without
+    materializing the sample.  No pool is threaded into execution, so
     results never depend on the server's lane count. *)
 
 type t

@@ -101,20 +101,20 @@ let partition_groups keys rel =
     rel;
   List.rev_map (fun k -> (k, Hashtbl.find groups k)) !order
 
-(* ---- the materializing evaluation core --------------------------------- *)
+(* ---- the evaluation core ---------------------------------------------- *)
 
 (* Execute the plan and evaluate every SELECT item over the materialized
-   sample.  [gus] is the plan's SOA analysis, computed by the caller
-   (prepare-time artifact: it depends only on the plan and base
-   cardinalities, never on tuple data). *)
-let eval_query ?skip_mask ~gus ~seed db query plan =
-  let rng = Gus_util.Rng.create seed in
-  let sample = Splan.exec db rng plan in
+   sample; [?profile] sees each plan node as it completes.  [gus] is the
+   plan's SOA analysis, computed by the caller (prepare-time artifact: it
+   depends only on the plan and base cardinalities, never on tuple data).
+   Returns the result, the first aggregate's report and the sample. *)
+let eval_query ?profile ~skip_mask ~gus ~seed db query plan =
+  let sample = Splan.exec ?profile db (Gus_util.Rng.create seed) plan in
   let cells, groups, report =
     match query.Ast.group_by with
     | [] ->
         let pairs =
-          List.map (eval_item_report ?skip_mask ~gus sample) query.Ast.items
+          List.map (eval_item_report ~skip_mask ~gus sample) query.Ast.items
         in
         let report = match pairs with (_, r) :: _ -> r | [] -> None in
         (List.map fst pairs, [], report)
@@ -124,15 +124,14 @@ let eval_query ?skip_mask ~gus ~seed db query plan =
             (fun (k, sub) ->
               { keys = k;
                 group_cells =
-                  List.map (eval_item ?skip_mask ~gus sub) query.Ast.items })
+                  List.map (eval_item ~skip_mask ~gus sub) query.Ast.items })
             (partition_groups keys sample)
         in
         ([], per_group, None)
   in
   ( { cells; groups; n_sample_tuples = Relation.cardinality sample; gus; plan },
-    report )
-
-(* ---- the streaming evaluation core ------------------------------------- *)
+    report,
+    sample )
 
 (* Innermost QUANTILE bound, mirroring [eval_item]'s unwrapping. *)
 let rec item_quantile ?q = function
@@ -154,19 +153,19 @@ let rec agg_expr = function
   | Ast.Avg e -> e
   | Ast.Quantile (inner, _) -> agg_expr inner
 
-(* Fold the plan's result tuples straight into the SBox via
-   [Splan.fold_stream] (through {!Sbox.of_plan}), never materializing the
-   sampled relation.  Only single-aggregate SUM/COUNT queries without
-   GROUP BY qualify; [None] means "fall back to the materializing core".
-   Same seed ⇒ bit-identical estimate / n_sample_tuples to [eval_query]
-   (the moment sums — hence stddev — can differ in final bits from
-   reduction order; see Sbox.of_plan). *)
-let stream_result ?pool ?skip_mask ~gus ~seed db query plan =
+(* Fold the plan's result tuples straight into the SBox via [Splan.fold]
+   (through {!Sbox.of_plan}), never materializing the sampled relation.
+   Only single-aggregate SUM/COUNT queries without GROUP BY qualify;
+   [None] means "evaluate over the materialized sample".  Same seed ⇒
+   bit-identical estimate / n_sample_tuples to [eval_query] (the moment
+   sums — hence stddev — can differ in final bits from reduction order;
+   see Sbox.of_plan). *)
+let stream_result ~skip_mask ~gus ~seed db query plan =
   match query.Ast.items with
   | [ item ] when query.Ast.group_by = [] && streamable_item item ->
       let rng = Gus_util.Rng.create seed in
       let f = agg_expr item.Ast.agg in
-      let r = Sbox.of_plan ?pool ?skip_mask ~gus ~f db rng plan in
+      let r = Sbox.of_plan ~skip_mask ~gus ~f db rng plan in
       let cell =
         cell_of_report ~label:(label_of item)
           ?quantile:(item_quantile item.Ast.agg)
@@ -222,28 +221,15 @@ let subtree_mask ~gus plan path =
         Some !mask
       with Exit | Gus_relational.Lineage.Overlap _ -> None)
 
-let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
-  let gus = (Lazy.force analysis.Gus_analysis.Lint.gus) in
-  let skip_mask = analysis.Gus_analysis.Lint.cost.Gus_analysis.Cost.skip_mask in
-  let rng = Gus_util.Rng.create seed in
-  let sample, profiles = Splan.exec_profiled db rng plan in
-  let cells, groups =
-    match query.Ast.group_by with
-    | [] -> (List.map (eval_item ~skip_mask ~gus sample) query.Ast.items, [])
-    | keys ->
-        let per_group =
-          List.map
-            (fun (k, sub) ->
-              { keys = k;
-                group_cells =
-                  List.map (eval_item ~skip_mask ~gus sub) query.Ast.items })
-            (partition_groups keys sample)
-        in
-        ([], per_group)
+let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~skip_mask ~gus ~seed
+    db query plan =
+  let profiles = ref [] in
+  let result, report, sample =
+    eval_query
+      ~profile:(fun np -> profiles := np :: !profiles)
+      ~skip_mask ~gus ~seed db query plan
   in
-  let result =
-    { cells; groups; n_sample_tuples = Relation.cardinality sample; gus; plan }
-  in
+  let profiles = List.rev !profiles in
   (* The sampler annotations come straight from the prepare-time analysis:
      the linter already ran the Figure-1 translation of every sampling
      node and recorded it per path, so EXPLAIN never re-lints. *)
@@ -253,11 +239,13 @@ let explain_of ~(analysis : Gus_analysis.Lint.analysis) ~seed db query plan =
   (* Variance decomposition of the first aggregate: Theorem 1 says
      Var = sum_S (c_S/a^2) y_S - y_0; each sampling node is annotated with
      the term of its subtree's relation subset (the -y_0 belongs to the
-     empty subset, which no Sample node owns). *)
+     empty subset, which no Sample node owns).  AVG and GROUP BY cells
+     carry no such report, so their first item's SUM over the whole
+     sample stands in. *)
   let report =
-    match query.Ast.items with
-    | [] -> None
-    | item :: _ -> (
+    match (report, query.Ast.items) with
+    | Some _, _ | None, [] -> report
+    | None, item :: _ -> (
         try Some (Sbox.of_relation ~skip_mask ~gus ~f:(agg_expr item.Ast.agg) sample)
         with _ -> None)
   in
@@ -343,12 +331,9 @@ type params = {
   seed : int;
   explain : bool;
   exact : bool;
-  streaming : bool;
-  pool : Gus_util.Pool.t option;
 }
 
-let default_params =
-  { seed = 42; explain = false; exact = false; streaming = false; pool = None }
+let default_params = { seed = 42; explain = false; exact = false }
 
 type request = {
   sql : string;
@@ -357,9 +342,8 @@ type request = {
 }
 
 let request ?(seed = 42) ?(explain = false) ?(exact = false)
-    ?(streaming = false) ?pool
     ?(lint_config = Gus_analysis.Lint.default_config) sql =
-  { sql; lint_config; params = { seed; explain; exact; streaming; pool } }
+  { sql; lint_config; params = { seed; explain; exact } }
 
 type prepared = {
   pr_sql : string;
@@ -379,7 +363,9 @@ let prepare ?lint_config ?engine db sql =
 let prepared_errors p = Gus_analysis.Lint.errors p.pr_lint
 
 let prepared_gus p =
-  Option.map (fun a -> (Lazy.force a.Gus_analysis.Lint.gus)) p.pr_lint.Gus_analysis.Lint.analysis
+  Option.map
+    (fun a -> Gus_analysis.Lint.force_gus a.Gus_analysis.Lint.gus)
+    p.pr_lint.Gus_analysis.Lint.analysis
 
 type response = {
   rs_result : result;
@@ -402,22 +388,20 @@ let execute db (p : prepared) (params : params) =
     | Some a -> a
     | None -> raise (Rewrite.Unsupported (Rewrite.render_errors (prepared_errors p)))
   in
-  let gus = (Lazy.force analysis.Gus_analysis.Lint.gus) in
+  let gus = Gus_analysis.Lint.force_gus analysis.Gus_analysis.Lint.gus in
   let skip_mask = analysis.Gus_analysis.Lint.cost.Gus_analysis.Cost.skip_mask in
+  let seed = params.seed in
+  (* The query's shape picks the path: EXPLAIN profiles the materialized
+     sample; otherwise a single SUM/COUNT without GROUP BY streams. *)
   let ex, result, report, streamed =
     if params.explain then
-      let ex = explain_of ~analysis ~seed:params.seed db query plan in
+      let ex = explain_of ~analysis ~skip_mask ~gus ~seed db query plan in
       (Some ex, ex.ex_result, ex.ex_report, false)
     else
-      match
-        (if params.streaming then
-           stream_result ?pool:params.pool ~skip_mask ~gus ~seed:params.seed db
-             query plan
-         else None)
-      with
+      match stream_result ~skip_mask ~gus ~seed db query plan with
       | Some (r, rep) -> (None, r, Some rep, true)
       | None ->
-          let r, rep = eval_query ~skip_mask ~gus ~seed:params.seed db query plan in
+          let r, rep, _ = eval_query ~skip_mask ~gus ~seed db query plan in
           (None, r, rep, false)
   in
   let exact_cells, exact_groups =
@@ -506,11 +490,6 @@ let lint ?config ?engine db sql =
 
 let run ?(seed = 42) db sql =
   (run_request db (request ~seed sql)).rs_result
-
-let run_explained ?(seed = 42) db sql =
-  match (run_request db (request ~seed ~explain:true sql)).rs_explain with
-  | Some ex -> ex
-  | None -> assert false (* explain:true always populates rs_explain *)
 
 let pp_cell ppf c =
   Format.fprintf ppf

@@ -57,28 +57,18 @@ type explain = {
     {!prepare} runs parse → plan → lint exactly once per SQL text and
     returns a reusable {!prepared} handle; {!execute} runs it any number
     of times with per-call {!params}.  The historical optional-argument
-    entry points ({!run}, {!run_explained}, {!lint}) survive as thin
-    wrappers over this API.  [Gus_service.Prepared] consumes it
-    directly. *)
+    entry points ({!run}, {!lint}) survive as thin wrappers over this
+    API.  [Gus_service.Prepared] consumes it directly, so the one-shot
+    and the served path are one code path. *)
 
 type params = {
   seed : int;  (** RNG seed for the sampling run (default 42) *)
   explain : bool;  (** collect per-node profiles ({!explain}) *)
   exact : bool;  (** also evaluate the sample-free skeleton *)
-  streaming : bool;
-      (** fold result tuples straight into the SBox via
-          {!Gus_core.Splan.fold_stream} when the query shape allows it
-          (single SUM/COUNT aggregate, no GROUP BY): no materialized
-          sample, bit-identical estimate and tuple count to the
-          materializing core (stddev can differ in final bits from
-          moment-reduction order) *)
-  pool : Gus_util.Pool.t option;
-      (** forwarded to the streaming estimator's moment passes *)
 }
 
 val default_params : params
-(** [{ seed = 42; explain = false; exact = false; streaming = false;
-    pool = None }]. *)
+(** [{ seed = 42; explain = false; exact = false }]. *)
 
 type request = {
   sql : string;
@@ -90,8 +80,6 @@ val request :
   ?seed:int ->
   ?explain:bool ->
   ?exact:bool ->
-  ?streaming:bool ->
-  ?pool:Gus_util.Pool.t ->
   ?lint_config:Gus_analysis.Lint.config ->
   string ->
   request
@@ -134,7 +122,8 @@ type response = {
   rs_exact_groups : (string list * (string * float) list) list;
       (** ground truth per group with [params.exact] under GROUP BY *)
   rs_streamed : bool;
-      (** whether the streaming core answered this execution *)
+      (** whether the sample was folded straight into the SBox rather
+          than materialized (see {!execute}) *)
   rs_report : Gus_estimator.Sbox.report option;
       (** the first aggregate's SBox report — [None] under GROUP BY and
           for AVG (its ratio estimator has no Theorem-1 decomposition).
@@ -145,8 +134,17 @@ val execute : Gus_relational.Database.t -> prepared -> params -> response
 (** Execute a prepared query.  Raises [Rewrite.Unsupported] (listing every
     [GUSxxx] error at once) when the prepared plan is outside the GUS
     theory — {e before} any sampling work runs.  Deterministic in
-    [(prepared, params.seed)]: repeated calls return bit-identical
-    responses. *)
+    [(prepared, params)]: repeated calls return bit-identical responses.
+
+    The query's shape picks the evaluation: a single SUM/COUNT item
+    without GROUP BY (and without [params.explain]) streams, folding the
+    result tuples straight into the SBox via {!Gus_core.Splan.fold}
+    without materializing the sample; everything else evaluates over the
+    materialized sample, with [params.explain] profiling each plan node.
+    Both draw the same sample for the same seed, so estimates and tuple
+    counts agree; stddev can differ in the final bits between an
+    explained and a plain run of a streamable query (moment-reduction
+    order).  Safe to call from several domains on one [prepared]. *)
 
 val run_request : Gus_relational.Database.t -> request -> response
 (** [prepare] + [execute] in one shot — the cold path. *)
@@ -183,13 +181,6 @@ val run : ?seed:int -> Gus_relational.Database.t -> string -> result
     [Rewrite.Unsupported] on bad input.  The SOA analysis runs {e before}
     execution, so an unsupported plan is rejected with every [GUSxxx]
     diagnostic at once and no sampling work is wasted. *)
-
-val run_explained : ?seed:int -> Gus_relational.Database.t -> string -> explain
-(** @deprecated Use {!run_request} with [explain = true].  {!run} under
-    {!Gus_core.Splan.exec_profiled}: same parse → analyze → execute →
-    estimate pipeline, same sample for the same seed, plus per-node wall
-    times, row counts, sampling rates and variance contributions for
-    [--explain-analyze]. *)
 
 val run_exact : Gus_relational.Database.t -> string -> (string * float) list
 (** Ground truth for each SELECT item, ignoring all TABLESAMPLE clauses

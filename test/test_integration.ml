@@ -71,7 +71,7 @@ let test_query1_estimate_within_bounds () =
   let plan = Gus_experiments.Harness.query1_plan ~bernoulli:0.2 ~wor:800 () in
   let f = Gus_experiments.Harness.revenue_f in
   let truth = Sbox.exact db plan ~f in
-  let report, _ = Sbox.run ~seed:77 db plan ~f in
+  let report, _ = Sbox.stream ~seed:77 db plan ~f in
   let ci = Sbox.interval ~coverage:0.99 Interval.Chebyshev report in
   check_bool "99% Chebyshev contains truth" true (Interval.contains ci truth)
 

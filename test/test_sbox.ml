@@ -269,7 +269,7 @@ let test_subsampled_target_bigger_than_sample () =
 let test_run_end_to_end () =
   let db = Lazy.force db_small in
   let plan = Splan.Sample (Sampler.Bernoulli 0.5, Splan.Scan "pop") in
-  let report, analysis = Sbox.run ~seed:5 db plan ~f:vcol in
+  let report, analysis = Sbox.stream ~seed:5 db plan ~f:vcol in
   check_bool "gus is Bernoulli" true
     (Gus.equal_approx (Lazy.force analysis.Rewrite.gus) (Gus.bernoulli ~rel:"pop" 0.5));
   check_bool "estimate positive" true (report.Sbox.estimate > 0.0)

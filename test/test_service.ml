@@ -10,10 +10,14 @@
       samplers (and reject unknown names), version-bump re-preparation.
    5. Engine: second identical execute is a recorded cache hit with a
       bit-identical response; catalog mutation invalidates; prepared
-      execution matches one-shot Runner.run estimates bit for bit.
+      execution matches one-shot Runner.run bit for bit, and a QCheck
+      differential over generated TPC-H queries and seeds holds
+      one-shot Runner.run_request ≡ served Prepared.execute on value,
+      stddev and tuple count.
    6. Scheduler + QCheck: cached and uncached execution of the same
-      (sql, params, seed) are bit-identical, and batch fan-out returns
-      identical results in identical order for pool sizes {1, 2, 4}.
+      (sql, params, seed) are bit-identical, batch fan-out returns
+      identical results in identical order for pool sizes {1, 2, 4},
+      and two lanes executing one fresh handle both succeed.
    7. Protocol: NDJSON units for register/prepare/execute/stats and the
       structured error objects.
    8. Telemetry: sampling-rate provenance for journal events, SLO breach
@@ -345,17 +349,88 @@ let test_matches_one_shot_runner () =
       .Engine.response
   in
   let one_shot = Runner.run ~seed db sql_join in
-  (* the serving path streams; estimates and tuple counts are guaranteed
-     bit-identical to the materializing one-shot path (stddev may differ
-     in final bits from moment-reduction order) *)
+  (* both paths run the same Runner.execute: the streamed answer is the
+     one-shot answer, to the last stddev bit *)
   check_bool "streamed" true served.Runner.rs_streamed;
   List.iter2
     (fun (a : Runner.cell) (b : Runner.cell) ->
       check_string "label" a.Runner.label b.Runner.label;
-      check_bool "estimate bits" true (a.Runner.value = b.Runner.value))
+      check_bool "estimate bits" true (a.Runner.value = b.Runner.value);
+      check_bool "stddev bits" true (a.Runner.stddev = b.Runner.stddev))
     served.Runner.rs_result.Runner.cells one_shot.Runner.cells;
   check_int "tuple count" one_shot.Runner.n_sample_tuples
     served.Runner.rs_result.Runner.n_sample_tuples
+
+(* ---- One-shot ≡ serve: a differential property ---- *)
+
+(* Generated queries over the TPC-H schema: one of a few FROM shapes,
+   each relation optionally sampled (Bernoulli, WOR or SYSTEM), one or
+   two aggregates of every kind, an optional filter and GROUP BY. *)
+let gen_sql =
+  let open QCheck2.Gen in
+  let shapes =
+    [ ( [ "lineitem" ], [],
+        [ "l_extendedprice"; "l_quantity * (1 - l_discount)" ],
+        "l_quantity > 20", "l_returnflag" );
+      ( [ "lineitem"; "orders" ], [ "l_orderkey = o_orderkey" ],
+        [ "l_extendedprice"; "o_totalprice" ],
+        "o_totalprice > 100000", "l_returnflag" );
+      ( [ "orders"; "customer" ], [ "o_custkey = c_custkey" ],
+        [ "o_totalprice"; "c_acctbal" ],
+        "c_acctbal > 0", "c_mktsegment" );
+      ( [ "lineitem"; "part" ], [ "l_partkey = p_partkey" ],
+        [ "l_quantity"; "p_retailprice" ],
+        "p_size < 25", "p_brand" ) ]
+  in
+  let sample =
+    oneof
+      [ pure "";
+        map (Printf.sprintf " TABLESAMPLE (%d PERCENT)") (int_range 5 60);
+        map (Printf.sprintf " TABLESAMPLE (%d ROWS)") (int_range 20 400);
+        map (Printf.sprintf " TABLESAMPLE SYSTEM (%d PERCENT)") (int_range 10 60) ]
+  in
+  let* rels, joins, cols, filter, group = oneofl shapes in
+  let* froms = flatten_l (List.map (fun r -> map (fun s -> r ^ s) sample) rels) in
+  let agg =
+    let* c = oneofl cols in
+    oneofl
+      [ Printf.sprintf "SUM(%s)" c; "COUNT(*)"; Printf.sprintf "COUNT(%s)" c;
+        Printf.sprintf "AVG(%s)" c; Printf.sprintf "QUANTILE(SUM(%s), 0.9)" c ]
+  in
+  let* items = list_size (int_range 1 2) agg in
+  let* filtered = bool in
+  let* grouped = frequencyl [ (3, false); (1, true) ] in
+  let where = joins @ if filtered then [ filter ] else [] in
+  return
+    (Printf.sprintf "SELECT %s FROM %s%s%s" (String.concat ", " items)
+       (String.concat ", " froms)
+       (if where = [] then "" else " WHERE " ^ String.concat " AND " where)
+       (if grouped then " GROUP BY " ^ group else ""))
+
+let prop_one_shot_equals_serve =
+  QCheck2.Test.make ~name:"one-shot = serve (value, stddev, n bits)"
+    ~count:150
+    ~print:(fun (sql, seed) -> Printf.sprintf "seed %d: %s" seed sql)
+    QCheck2.Gen.(pair gen_sql (int_range 0 10_000))
+    (fun (sql, seed) ->
+      let catalog = Catalog.create () in
+      ignore (Catalog.register catalog ~name:dataset ~source:(Catalog.In_memory "test") db);
+      let render f =
+        match f () with
+        | (rs : Runner.response) ->
+            Json.to_string (Protocol.result_json rs.Runner.rs_result)
+        | exception e -> "error: " ^ Printexc.to_string e
+      in
+      let one_shot = render (fun () -> Runner.run_request db (Runner.request ~seed sql)) in
+      let served =
+        render (fun () ->
+            Prepared.execute catalog
+              (Prepared.prepare catalog ~dataset sql)
+              { Prepared.default_overrides with seed })
+      in
+      if one_shot <> served then
+        QCheck2.Test.fail_reportf "one-shot %s@.served   %s" one_shot served;
+      true)
 
 (* ---- 6. Scheduler + the cached/uncached QCheck property ---- *)
 
@@ -422,6 +497,50 @@ let test_cached_uncached_property () =
          let ref_batch = batch_sigs 1 in
          ok_cache
          && List.for_all (fun s -> batch_sigs s = ref_batch) [ 2; 4 ])
+
+(* Lint's dense GUS is a lazy suspension shared by every execution of a
+   handle.  Densifying a 13-relation design (2^13 coefficients) takes long
+   enough that both lanes of a 2-lane batch over one fresh handle reach
+   the force while it is still running. *)
+let wide_n = 13
+
+let wide_db =
+  lazy
+    (let open Gus_relational in
+     let d = Database.create () in
+     for i = 0 to wide_n - 1 do
+       let schema =
+         Schema.make [ { Schema.name = Printf.sprintf "x%d" i; ty = Value.TInt } ]
+       in
+       let r = Relation.create_base ~name:(Printf.sprintf "r%d" i) schema in
+       Relation.append_row r [| Value.Int i |];
+       Database.add d r
+     done;
+     d)
+
+let sql_wide =
+  "SELECT COUNT(*) AS n FROM "
+  ^ String.concat ", "
+      (List.init wide_n (fun i ->
+           if i = 0 then "r0 TABLESAMPLE (50 PERCENT)" else Printf.sprintf "r%d" i))
+
+let test_batch_forces_gus_safely () =
+  let e = Engine.create ~pool:(pool_of 2) () in
+  ignore
+    (Engine.register_db e ~name:"wide" ~source:(Catalog.In_memory "wide")
+       (Lazy.force wide_db));
+  for i = 1 to 10 do
+    let handle, _ = Engine.prepare e ~dataset:"wide" sql_wide in
+    Array.iter
+      (function
+        | Ok _ -> ()
+        | Error ex ->
+            Alcotest.failf "handle %d: batch item failed: %s" i
+              (Printexc.to_string ex))
+      (Engine.batch e
+         [| (handle, { Prepared.default_overrides with seed = i });
+            (handle, { Prepared.default_overrides with seed = i + 1 }) |])
+  done
 
 (* ---- 8. Telemetry: journal, SLOs, bit-identical replay ---- *)
 
@@ -1017,9 +1136,14 @@ let () =
           Alcotest.test_case "invalidation on mutation" `Quick
             test_invalidation_on_mutation;
           Alcotest.test_case "matches one-shot Runner.run" `Quick
-            test_matches_one_shot_runner ] );
+            test_matches_one_shot_runner;
+          (* fixed generator seed: the same 150 (SQL, seed) pairs every run *)
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 1 |])
+            prop_one_shot_equals_serve ] );
       ( "scheduler",
         [ Alcotest.test_case "deterministic map" `Quick test_scheduler_map;
+          Alcotest.test_case "batched fresh handles force GUS safely" `Quick
+            test_batch_forces_gus_safely;
           Alcotest.test_case "cached = uncached (pools 1/2/4)" `Slow
             test_cached_uncached_property ] );
       ( "workload",
